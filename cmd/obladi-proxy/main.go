@@ -80,7 +80,7 @@ func main() {
 	lease := flag.Duration("lease", 750*time.Millisecond, "standby promotes after this long without a frame from the primary")
 	maxSessions := flag.Int("max-sessions-per-conn", 0, "shed transaction sessions beyond this many per client connection (0 = default cap)")
 	maxPendingReads := flag.Int("max-pending-reads", 0, "per-session cap on outstanding async reads; excess applies read-loop backpressure (0 = default)")
-	noAdmission := flag.Bool("no-admission", false, "disable epoch admission control: queue reads without bound instead of shedding at the slot budget")
+	noAdmission := flag.Bool("no-admission", false, "disable epoch admission control: queue reads without bound (excess dies at the epoch boundary) instead of deferring a transaction to the next epoch or shedding at the slot budget")
 	flag.Parse()
 
 	if addr, err := pprofserve.Start(*pprofAddr); err != nil {
@@ -169,6 +169,6 @@ func serve(db *obladi.DB, srv *clientproto.Server, storageAddr string, interval 
 		db.Close()
 	}
 	st := db.Stats()
-	fmt.Printf("obladi-proxy: %d epochs, %d committed, %d aborted, %d reads shed\n",
-		st.Epochs, st.Committed, st.Aborted, st.ShedReads)
+	fmt.Printf("obladi-proxy: %d epochs, %d committed, %d aborted, %d txns deferred, %d reads shed\n",
+		st.Epochs, st.Committed, st.Aborted, st.DeferredTxns, st.ShedReads)
 }

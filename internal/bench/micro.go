@@ -233,11 +233,6 @@ func fig10bc(cfg Config, latency bool) ([]Row, error) {
 // Fig10d reproduces Figure 10d: delayed visibility (buffered, deduplicated
 // epoch write-back) vs immediate write-back, with epochs of eight batches.
 func Fig10d(cfg Config) ([]Row, error) {
-	batchSize, epochs := 200, 2
-	if cfg.Quick {
-		batchSize = 64
-	}
-	const batchesPerEpoch = 8
 	var rows []Row
 	for _, prof := range microProfiles(cfg) {
 		for _, writeThrough := range []bool{false, true} {
@@ -245,23 +240,37 @@ func Fig10d(cfg Config) ([]Row, error) {
 			if writeThrough {
 				series = "Write Back"
 			}
-			p := microParams(cfg, true)
-			backend := microBackend(p, prof, cfg.LatencyScale/4)
-			oram, err := oramexec.InitORAM(backend, cryptoutil.KeyFromSeed([]byte("f10d")), p)
-			if err != nil {
-				return nil, err
-			}
-			exec := oramexec.New(oram, backend, oramexec.Config{Parallelism: 256, WriteThrough: writeThrough})
-			mix := workload.NewMix(workload.NewUniform(p.NumBlocks), 1.0, "k")
-			ops, d, err := runExecBatches(exec, backend, mix, batchSize, epochs*batchesPerEpoch, batchesPerEpoch, cfg.Seed)
+			ops, d, _, err := fig10dRun(cfg, prof, writeThrough)
 			if err != nil {
 				return nil, err
 			}
 			rows = append(rows, Row{Experiment: "fig10d", Series: series, X: prof.Name, Value: opsPerSec(ops, d), Unit: "ops/s"})
-			backend.Close()
 		}
 	}
 	return rows, nil
+}
+
+// fig10dRun is one Figure 10d cell: read batches over one backend, with
+// delayed write-back or write-through. Besides the ops and wall time it
+// returns the executor's counters, whose storage round trips are what
+// delayed visibility saves.
+func fig10dRun(cfg Config, prof storage.Profile, writeThrough bool) (int, time.Duration, oramexec.Stats, error) {
+	batchSize, epochs := 200, 2
+	if cfg.Quick {
+		batchSize = 64
+	}
+	const batchesPerEpoch = 8
+	p := microParams(cfg, true)
+	backend := microBackend(p, prof, cfg.LatencyScale/4)
+	defer backend.Close()
+	oram, err := oramexec.InitORAM(backend, cryptoutil.KeyFromSeed([]byte("f10d")), p)
+	if err != nil {
+		return 0, 0, oramexec.Stats{}, err
+	}
+	exec := oramexec.New(oram, backend, oramexec.Config{Parallelism: 256, WriteThrough: writeThrough})
+	mix := workload.NewMix(workload.NewUniform(p.NumBlocks), 1.0, "k")
+	ops, d, err := runExecBatches(exec, backend, mix, batchSize, epochs*batchesPerEpoch, batchesPerEpoch, cfg.Seed)
+	return ops, d, exec.Stats(), err
 }
 
 // Fig10e reproduces Figure 10e: relative throughput increase as the epoch

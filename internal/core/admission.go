@@ -24,6 +24,20 @@ import (
 // ErrAborted and ErrEpochFull), and carries a Retry-After-style hint (the
 // epoch from which capacity exists again).
 //
+// # Defer before shedding
+//
+// A transaction that has not touched any data yet is not shed when the
+// current epoch cannot serve its first fetch — because the epoch's last read
+// batch has fired, its boundary is sealing, or the shard's remaining slots
+// are spoken for. It waits for the next epoch to open and begins there with a
+// fresh MVTSO timestamp (Txn.bind), exactly as if it had arrived a moment
+// later; its first fetch then goes through the gate of that epoch and is shed
+// only if that budget is subscribed too. Nothing was lost by waiting: the
+// transaction holds no reads or writes, so moving it cannot change what it
+// observes, and no transaction waits more than one boundary. Transactions
+// that already touched data keep the immediate shed — they cannot leave
+// their epoch.
+//
 // Crucially the gate's decision depends only on proxy-internal state the
 // adversary already cannot see — queue length and the schedule position —
 // and a shed request never touches the schedule: no slot is consumed, no
@@ -49,10 +63,13 @@ import (
 var ErrShed = fmt.Errorf("obladi: request shed by admission control (overload)")
 
 // ShedError is the concrete shed error: a retryable abort carrying a
-// Retry-After-style hint. RetryEpoch is the first epoch with fresh slot
-// budget — the epoch after the one whose budget was exhausted — so a
-// co-located retrier can wait for it, and a remote one can treat the hint as
-// "back off roughly one epoch".
+// Retry-After-style hint. A shed reaches a transaction only when waiting a
+// boundary cannot help it: the transaction already touched data in an epoch
+// whose slots are spent, or it was already deferred once and the next
+// epoch's budget was subscribed as well. RetryEpoch is the first epoch with
+// fresh slot budget — the epoch after the one whose budget was exhausted — so
+// a co-located retrier can wait for it, and a remote one can treat the hint
+// as "back off roughly one epoch".
 type ShedError struct {
 	// RetryEpoch is the first epoch that has batch-slot budget again.
 	RetryEpoch uint64
@@ -91,8 +108,7 @@ type sessionFetchQueue struct {
 // gate-disabled runs.
 func (p *Proxy) admitFetchLocked(sh *shard, ts mvtso.Timestamp, key string) error {
 	if !p.cfg.DisableAdmission {
-		remaining := (p.cfg.ReadBatches - p.batchIdx) * p.cfg.ReadBatchSize
-		if sh.queuedKeys >= remaining {
+		if sh.queuedKeys >= p.readSlotsLeftLocked() {
 			p.shedReads.Add(1)
 			return &ShedError{RetryEpoch: p.epoch + 1, Shard: sh.id}
 		}
@@ -108,6 +124,46 @@ func (p *Proxy) admitFetchLocked(sh *shard, ts mvtso.Timestamp, key string) erro
 	sh.pending[key] = true
 	sh.queuedKeys++
 	return nil
+}
+
+// readSlotsLeftLocked is the number of read slots per shard the current
+// epoch can still serve: the slots of its unfired read batches, none once
+// its boundary has begun to seal. The caller holds p.mu.
+func (p *Proxy) readSlotsLeftLocked() int {
+	if p.sealing {
+		return 0
+	}
+	return (p.cfg.ReadBatches - p.batchIdx) * p.cfg.ReadBatchSize
+}
+
+// servableLocked reports whether the current epoch can serve a fresh
+// transaction's first reads, of keys: every distinct key that is neither
+// resident nor already pending needs one free slot on its shard. Once the
+// epoch's last read batch has fired nothing is servable, not even a resident
+// key: the transaction's next read would find no slot. The caller holds
+// p.mu.
+func (p *Proxy) servableLocked(keys []string) bool {
+	if len(keys) == 0 {
+		return true
+	}
+	left := p.readSlotsLeftLocked()
+	if left == 0 {
+		return false
+	}
+	need := make([]int, len(p.shards))
+	seen := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		sh := p.shards[shardOf(k, len(p.shards))]
+		if seen[k] || sh.fetched[k] || sh.pending[k] {
+			continue
+		}
+		seen[k] = true
+		need[sh.id]++
+		if sh.queuedKeys+need[sh.id] > left {
+			return false
+		}
+	}
+	return true
 }
 
 // takeBatchLocked drains up to n keys from sh's session queues for the next

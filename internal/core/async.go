@@ -58,14 +58,17 @@ type Future struct {
 	err      error
 }
 
-// ReadAsync registers a read of key and returns immediately. The returned
-// Future resolves when the key's base version is resident (for keys already
-// fetched this epoch, immediately). Issuing a transaction's independent reads
-// through ReadAsync before the first Wait packs them into the same read
-// batch, like ReadMany, without requiring the key set up front.
+// ReadAsync registers a read of key and returns immediately — unless it is
+// the transaction's first operation and the current epoch cannot serve it:
+// then it first waits for the next epoch to open (see Txn.bind). The
+// returned Future resolves when the key's base version is resident (for keys
+// already fetched this epoch, immediately). Issuing a transaction's
+// independent reads through ReadAsync before the first Wait packs them into
+// the same read batch, like ReadMany, without requiring the key set up
+// front.
 func (t *Txn) ReadAsync(key string) *Future {
 	f := &Future{t: t, key: key}
-	if err := t.check(key); err != nil {
+	if err := t.check(key, true); err != nil {
 		f.done, f.err = true, err
 		return f
 	}
@@ -126,11 +129,15 @@ func (f *Future) Wait(ctx context.Context) ([]byte, bool, error) {
 		v, found, err := t.inner.Read(f.key)
 		switch {
 		case err == nil:
+			if !f.hadFetch {
+				t.p.cacheHits.Add(1)
+			}
 			return f.resolve(v, found, nil)
 		case errors.Is(err, mvtso.ErrNeedFetch):
 			// The version cache no longer holds the base (possible only
 			// across batch races); queue again and keep waiting.
 			f.ch = t.p.queueFetch(t.epoch, t.inner.TS(), f.key)
+			f.hadFetch = f.hadFetch || f.ch != nil
 		case errors.Is(err, mvtso.ErrAborted):
 			return f.resolve(nil, false, fmt.Errorf("%w: %v", ErrAborted, err))
 		default:

@@ -137,10 +137,11 @@ type Config struct {
 	Replicator Replicator
 
 	// DisableAdmission turns off the overload-control admission gate
-	// (admission.go): fetches queue without bound again and excess load
-	// dies at the epoch seal with ErrEpochFull instead of being shed
-	// immediately with a retry hint. Ablation/back-compat knob; fair
-	// per-session scheduling stays on either way.
+	// (admission.go): fetches queue without bound again, no transaction is
+	// deferred to the next epoch, and excess load dies at the epoch seal
+	// with ErrEpochFull instead of being deferred or shed with a retry
+	// hint. Ablation/back-compat knob; fair per-session scheduling stays on
+	// either way.
 	DisableAdmission bool
 }
 
@@ -203,11 +204,14 @@ type Stats struct {
 	RecoveryReplayed int
 
 	// Overload-control counters (admission.go). ShedReads counts fetches
-	// refused by the admission gate; AdmittedSessions counts sessions that
-	// were granted at least one batch slot; ReadQueueDepth is the current
-	// number of admitted-but-unscheduled fetch keys across shards (a gauge,
-	// bounded by the gate at shards × R × bread).
+	// refused by the admission gate; DeferredTxns counts transactions that
+	// waited for the next epoch instead of being shed; AdmittedSessions
+	// counts sessions that were granted at least one batch slot;
+	// ReadQueueDepth is the current number of admitted-but-unscheduled fetch
+	// keys across shards (a gauge, bounded by the gate at shards × R ×
+	// bread).
 	ShedReads        uint64
+	DeferredTxns     uint64
 	AdmittedSessions uint64
 	ReadQueueDepth   int
 }
@@ -277,7 +281,11 @@ type Proxy struct {
 	closed   bool
 	draining bool // Shutdown in progress: the epoch loop stops driving
 	epoch    uint64
-	batchIdx int // read batches already issued this epoch
+	batchIdx int  // read batches already issued this epoch
+	sealing  bool // the current epoch's boundary has begun; no slot is left
+	// epochOpen is closed (and replaced) whenever an epoch opens or the
+	// proxy closes, waking transactions deferred to the next epoch.
+	epochOpen chan struct{}
 
 	// commit waiters, by transaction timestamp.
 	waiters map[mvtso.Timestamp]chan error
@@ -295,11 +303,13 @@ type Proxy struct {
 	loop      sync.WaitGroup
 	ablateSeq uint64 // unique tokens for the DisableReadCache ablation
 
-	// Overload-control counters. Atomics (the PR 2 Stats-race pattern):
-	// sheds are counted on the client-facing fast path and read by Stats
-	// snapshots concurrently with batch execution.
+	// Client-path counters. Atomics: they are counted on the client-facing
+	// fast path and read by Stats snapshots concurrently with batch
+	// execution.
 	shedReads        atomic.Uint64
+	deferredTxns     atomic.Uint64
 	admittedSessions atomic.Uint64
+	cacheHits        atomic.Uint64
 
 	stats        Stats
 	replayedLast int
@@ -379,10 +389,11 @@ func newProxy(stores []storage.Backend, cfg Config) (*Proxy, error) {
 		return nil, err
 	}
 	p := &Proxy{
-		cfg:     cfg,
-		ccu:     mvtso.NewManager(),
-		waiters: make(map[mvtso.Timestamp]chan error),
-		kick:    make(chan struct{}, 1),
+		cfg:       cfg,
+		ccu:       mvtso.NewManager(),
+		waiters:   make(map[mvtso.Timestamp]chan error),
+		kick:      make(chan struct{}, 1),
+		epochOpen: make(chan struct{}),
 	}
 	p.boundaryDone = sync.NewCond(&p.mu)
 	for i, st := range stores {
@@ -748,7 +759,9 @@ func (p *Proxy) Stats() Stats {
 	s.Shards = len(p.shards)
 	s.ConflictAborts, s.CascadingAborts = p.ccu.Stats()
 	s.ShedReads = p.shedReads.Load()
+	s.DeferredTxns = p.deferredTxns.Load()
 	s.AdmittedSessions = p.admittedSessions.Load()
+	s.CacheHits = p.cacheHits.Load()
 	for _, sh := range p.shards {
 		s.ReadQueueDepth += sh.queuedKeys
 	}
@@ -760,6 +773,8 @@ func (p *Proxy) Stats() Stats {
 		s.Executor.WritesBuffered += es.WritesBuffered
 		s.Executor.Evictions += es.Evictions
 		s.Executor.Reshuffles += es.Reshuffles
+		s.Executor.ReadCalls += es.ReadCalls
+		s.Executor.WriteCalls += es.WriteCalls
 		if peak := sh.exec.ORAM().StashPeak(); peak > s.StashPeak {
 			s.StashPeak = peak
 		}
@@ -831,8 +846,10 @@ func (p *Proxy) Shutdown() error {
 	return err
 }
 
-// failAllLocked wakes every fetch and commit waiter with err.
+// failAllLocked wakes every fetch and commit waiter with err, and every
+// deferred transaction (which then observes the closed proxy).
 func (p *Proxy) failAllLocked(err error) {
+	p.openEpochLocked()
 	for _, sh := range p.shards {
 		for _, ws := range sh.queued {
 			for _, w := range ws {
@@ -1125,6 +1142,9 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 		return nil, ErrClosed
 	}
 	epoch := p.epoch
+	// From here until the next epoch opens the admission gate sees no slot
+	// left, and a fresh transaction waits for that epoch (Txn.bind).
+	p.sealing = true
 	// Reads that never got a batch slot: their transactions abort with the
 	// epoch (fate sharing); wake them now so they observe the abort.
 	for _, sh := range p.shards {
@@ -1255,10 +1275,19 @@ func (p *Proxy) sealEpoch() (*boundaryJob, error) {
 	}
 	p.batchIdx = 0
 	p.epoch++
+	p.sealing = false
 	p.beginEpochAllLocked()
 	p.inflight = job
+	p.openEpochLocked()
 	p.mu.Unlock()
 	return job, nil
+}
+
+// openEpochLocked wakes the transactions waiting for the next epoch: it just
+// opened, or the proxy closed. The caller holds p.mu.
+func (p *Proxy) openEpochLocked() {
+	close(p.epochOpen)
+	p.epochOpen = make(chan struct{})
 }
 
 // commitBoundary runs a sealed boundary's commit stage and publishes its

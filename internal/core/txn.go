@@ -9,9 +9,11 @@ import (
 	"obladi/internal/mvtso"
 )
 
-// Txn is a transaction handle bound to the epoch it started in. Operations
-// (Read, Write, Commit, …) must not be called concurrently; resolving
-// ReadAsync Futures from other goroutines is allowed (see async.go).
+// Txn is a transaction handle bound to the epoch it started in — or, when
+// that epoch cannot serve its first operation, to the next one (see bind).
+// Operations (Read, Write, Commit, …) must not be called concurrently;
+// resolving ReadAsync Futures from other goroutines is allowed (see
+// async.go).
 type Txn struct {
 	p     *Proxy
 	inner *mvtso.Txn
@@ -24,6 +26,10 @@ type Txn struct {
 	// paidSlots tracks keys this txn already spent a batch slot on, for
 	// the DisableReadCache ablation. Guarded by p.mu.
 	paidSlots map[string]bool
+	// bound flips at the first Read, ReadMany, Write or Delete, when bind
+	// settles the epoch the transaction runs in. Owned by the transaction's
+	// goroutine.
+	bound bool
 }
 
 // Begin starts a transaction in the current epoch.
@@ -36,7 +42,8 @@ func (t *Txn) TS() uint64 { return uint64(t.inner.TS()) }
 
 // Read returns the value of key as visible to this transaction. It blocks
 // while the key's base version is fetched from the ORAM (at most until the
-// epoch's read batches are exhausted, or the transaction's context is done).
+// epoch's read batches are exhausted, or the transaction's context is done;
+// a first read the epoch cannot serve first waits for the next epoch).
 func (t *Txn) Read(key string) ([]byte, bool, error) {
 	return t.ReadAsync(key).Wait(t.ctx)
 }
@@ -47,6 +54,11 @@ func (t *Txn) Read(key string) ([]byte, bool, error) {
 // ReadMany (or ReadAsync): a sequential Read chain consumes one read batch
 // per key (§6.4: dependent reads cost batches).
 func (t *Txn) ReadMany(keys []string) ([]ReadResult, error) {
+	// Bind for the whole read set, so a set the epoch cannot serve in full
+	// moves to the next epoch together instead of being split.
+	if err := t.bind(keys); err != nil {
+		return nil, err
+	}
 	futures := make([]*Future, len(keys))
 	for i, k := range keys {
 		futures[i] = t.ReadAsync(k)
@@ -71,7 +83,7 @@ type ReadResult struct {
 
 // Write stores value under key within the transaction.
 func (t *Txn) Write(key string, value []byte) error {
-	if err := t.check(key); err != nil {
+	if err := t.check(key, false); err != nil {
 		return err
 	}
 	if len(value) > t.p.cfg.Params.ValueSize {
@@ -85,7 +97,7 @@ func (t *Txn) Write(key string, value []byte) error {
 
 // Delete removes key within the transaction.
 func (t *Txn) Delete(key string) error {
-	if err := t.check(key); err != nil {
+	if err := t.check(key, false); err != nil {
 		return err
 	}
 	if err := t.inner.Delete(key); err != nil {
@@ -182,8 +194,10 @@ func (t *Txn) Abort() {
 	t.inner.Abort()
 }
 
-// check validates key, context, and epoch membership for an operation.
-func (t *Txn) check(key string) error {
+// check validates key and context, settles the epoch of the transaction's
+// first operation (bind; fetch says whether the operation needs key's base
+// version), and checks epoch membership.
+func (t *Txn) check(key string, fetch bool) error {
 	if t.done.Load() {
 		return ErrAborted
 	}
@@ -200,6 +214,13 @@ func (t *Txn) check(key string) error {
 	if len(key) > t.p.cfg.Params.KeySize {
 		return fmt.Errorf("obladi: key of %d bytes exceeds KeySize %d", len(key), t.p.cfg.Params.KeySize)
 	}
+	var keys []string
+	if fetch {
+		keys = []string{key}
+	}
+	if err := t.bind(keys); err != nil {
+		return err
+	}
 	t.p.mu.Lock()
 	live := t.p.epoch == t.epoch && !t.p.closed
 	closed := t.p.closed
@@ -212,6 +233,59 @@ func (t *Txn) check(key string) error {
 		return fmt.Errorf("%w: transaction spans epochs", ErrAborted)
 	}
 	return nil
+}
+
+// bind settles the epoch a fresh transaction — one that has read or written
+// nothing yet — runs its first operation in, which fetches keys (none for a
+// write); on any later operation it does nothing. A transaction whose epoch
+// already ended moves to the current one. When the current epoch cannot
+// serve the operation — its boundary is sealing, or (for a read) its last
+// read batch has fired or its remaining slots cannot take keys — the
+// transaction waits for the next epoch to open instead of being shed,
+// honouring its context, and begins there with a fresh timestamp. It waits
+// at most one boundary: after that its fetches face the gate like any
+// other. With DisableAdmission nothing moves, as before the gate existed.
+func (t *Txn) bind(keys []string) error {
+	p := t.p
+	if t.bound || p.cfg.DisableAdmission {
+		return nil
+	}
+	t.bound = true
+	for waited := false; ; waited = true {
+		p.mu.Lock()
+		if p.closed {
+			// The epoch check after bind reports ErrClosed.
+			p.mu.Unlock()
+			return nil
+		}
+		if !p.sealing {
+			if t.epoch != p.epoch {
+				// Holding p.mu while not sealing keeps FinalizeEpoch out, so
+				// the fresh timestamp lands in the generation of p.epoch.
+				t.inner.Withdraw()
+				t.inner = p.ccu.Begin()
+				t.epoch = p.epoch
+			}
+			if waited || p.servableLocked(keys) {
+				p.mu.Unlock()
+				return nil
+			}
+		}
+		if !waited {
+			p.deferredTxns.Add(1)
+			// The boundary must not count the first incarnation as an
+			// abort: it never ran.
+			t.inner.Withdraw()
+		}
+		open := p.epochOpen
+		p.mu.Unlock()
+		select {
+		case <-open:
+		case <-t.ctx.Done():
+			t.inner.Abort()
+			return fmt.Errorf("%w: %w", ErrAborted, context.Cause(t.ctx))
+		}
+	}
 }
 
 // queueFetch enqueues key on its shard's next read batch (under the

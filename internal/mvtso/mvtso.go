@@ -377,6 +377,23 @@ func (t *Txn) Abort() {
 	m.abortLocked(t, "voluntary")
 }
 
+// Withdraw aborts t and removes it from the current generation, so the next
+// FinalizeEpoch neither lists nor counts it. The proxy withdraws a
+// transaction that has touched no data when it moves it to a later epoch
+// (a fresh Begin there): its first incarnation did not fail, it never ran.
+func (t *Txn) Withdraw() {
+	m := t.mgr
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if t.status == StatusCommitted {
+		return
+	}
+	m.abortLocked(t, "withdrawn")
+	if m.txns[t.ts] == t {
+		delete(m.txns, t.ts)
+	}
+}
+
 // abortLocked marks t aborted, removes its versions, and cascades to every
 // transaction that observed them.
 func (m *Manager) abortLocked(t *Txn, reason string) {

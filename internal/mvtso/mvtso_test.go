@@ -417,3 +417,35 @@ func must(t *testing.T, err error) {
 		t.Fatal(err)
 	}
 }
+
+// TestWithdrawLeavesNoTrace pins Withdraw: the withdrawn transaction is
+// neither committed nor counted as aborted by the next FinalizeEpoch, its
+// versions are gone, and a reader of them still aborts by cascade.
+func TestWithdrawLeavesNoTrace(t *testing.T) {
+	m := NewManager()
+	installAll(m, map[string]string{"x": "base"})
+	idle := m.Begin()
+	writer := m.Begin()
+	if err := writer.Write("x", []byte("w")); err != nil {
+		t.Fatal(err)
+	}
+	reader := m.Begin()
+	if v, _, err := reader.Read("x"); err != nil || string(v) != "w" {
+		t.Fatalf("read: %q %v", v, err)
+	}
+	if err := reader.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	idle.Withdraw()
+	writer.Withdraw()
+	if _, _, err := idle.Read("x"); !errors.Is(err, ErrAborted) {
+		t.Fatalf("withdrawn transaction still live: %v", err)
+	}
+	out := m.FinalizeEpoch()
+	if len(out.Committed) != 0 || len(out.Writes) != 0 {
+		t.Fatalf("committed %v, writes %v: the reader of withdrawn versions must abort", out.Committed, out.Writes)
+	}
+	if len(out.Aborted) != 1 || out.Aborted[0] != reader.TS() {
+		t.Fatalf("aborted %v, want only the reader %d", out.Aborted, reader.TS())
+	}
+}

@@ -409,11 +409,8 @@ func commit(p *core.Proxy, key string, value []byte) error {
 }
 
 // readKey reads key in its own transaction, retrying ErrEpochFull (which
-// admission-control sheds also match): a transaction that begins near its
-// epoch's end can miss the read batches — ordinary client-visible
-// backpressure, not a correctness signal. The sleep matters: sheds fire in
-// the window between an epoch's last read batch and its boundary, so an
-// instant retry lands in the same window and sheds again.
+// admission-control sheds also match): ordinary client-visible
+// backpressure, not a correctness signal.
 func readKey(t *testing.T, p *core.Proxy, key string) ([]byte, bool) {
 	t.Helper()
 	for attempt := 0; ; attempt++ {
@@ -426,7 +423,6 @@ func readKey(t *testing.T, p *core.Proxy, key string) ([]byte, bool) {
 		if !errors.Is(err, core.ErrEpochFull) || attempt >= 50 {
 			t.Fatalf("read %s: %v", key, err)
 		}
-		time.Sleep(500 * time.Microsecond)
 	}
 }
 
@@ -613,7 +609,6 @@ func checkZeroAckedLoss(t *testing.T, acked bool) {
 		if !errors.Is(err, core.ErrEpochFull) || attempt >= 50 {
 			t.Fatalf("multi-key commit: %v", err)
 		}
-		time.Sleep(500 * time.Microsecond)
 	}
 	want["acked-00"], want["extra"] = []byte("rewritten"), []byte("pair")
 

@@ -96,7 +96,8 @@ type Options struct {
 	SyncEpochBoundary bool
 	// DisableAdmission turns off the overload-control admission gate: reads
 	// past the epoch's remaining batch-slot budget queue unboundedly and
-	// abort at the seal instead of shedding immediately with a retryable
+	// abort at the seal, instead of waiting for the next epoch (a
+	// transaction's first read) or being shed immediately with a retryable
 	// ErrShed. Useful only as an ablation baseline; see DESIGN.md
 	// ("Overload and admission control").
 	DisableAdmission bool
@@ -555,6 +556,13 @@ type Stats struct {
 	RecoveryReplayed int
 	// ShedReads counts reads refused by the admission gate (overload).
 	ShedReads uint64
+	// DeferredTxns counts transactions that waited for the next epoch
+	// because the current one could not serve their first read — moved,
+	// not refused.
+	DeferredTxns uint64
+	// CacheHits counts reads served from the version cache: their key's
+	// base version was already resident, so they needed no batch slot.
+	CacheHits uint64
 	// AdmittedSessions counts sessions that got at least one fetch admitted.
 	AdmittedSessions uint64
 	// ReadQueueDepth is the current admitted-but-unscheduled fetch count
@@ -581,6 +589,8 @@ func (db *DB) Stats() Stats {
 		StashPeak:         s.StashPeak,
 		RecoveryReplayed:  s.RecoveryReplayed,
 		ShedReads:         s.ShedReads,
+		DeferredTxns:      s.DeferredTxns,
+		CacheHits:         s.CacheHits,
 		AdmittedSessions:  s.AdmittedSessions,
 		ReadQueueDepth:    s.ReadQueueDepth,
 	}

@@ -236,9 +236,21 @@ func TestSimulatedLatencyProfiles(t *testing.T) {
 func TestStatsExposed(t *testing.T) {
 	db := openTest(t, Options{})
 	must(t, db.Update(func(tx *Txn) error { return tx.Write("k", []byte("v")) }))
+	must(t, db.View(func(tx *Txn) error {
+		for i := 0; i < 2; i++ { // the repeat read is served from the version cache
+			if _, _, err := tx.Read("k"); err != nil {
+				return err
+			}
+		}
+		return nil
+	}))
 	st := db.Stats()
 	if st.Epochs == 0 || st.Committed == 0 {
 		t.Fatalf("stats: %+v", st)
+	}
+	if st.StorageReadCalls == 0 || st.StorageWriteCalls == 0 || st.CacheHits == 0 {
+		t.Fatalf("storage calls read=%d write=%d, cache hits %d: counters not reported",
+			st.StorageReadCalls, st.StorageWriteCalls, st.CacheHits)
 	}
 	if db.Epoch() == 0 {
 		t.Fatal("epoch not reported")
